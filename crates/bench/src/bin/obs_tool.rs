@@ -18,9 +18,11 @@
 //! `verify` re-parses the file, re-reconciles every window sum against
 //! the final registries and recomputes the derived report, exiting 1 on
 //! any mismatch — the round-trip gate `scripts/tier1.sh` runs.
+//!
+//! A bad argument or an unreadable or unwritable file exits 2.
 
 use ulc_bench::flight::{self, FlightExport};
-use ulc_bench::Scale;
+use ulc_bench::{exit_with_error, Scale};
 
 /// Returns the value of a `--flag=<value>` argument, if present.
 fn arg_value(prefix: &str) -> Option<String> {
@@ -34,14 +36,14 @@ fn input_path() -> String {
 
 fn read_export(path: &str) -> FlightExport {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        .unwrap_or_else(|e| exit_with_error(&format!("cannot read {path}: {e}")));
     serde_json::from_str(&text)
-        .unwrap_or_else(|e| panic!("{path} is not a flight export: {e:?}"))
+        .unwrap_or_else(|e| exit_with_error(&format!("{path} is not a flight export: {e}")))
 }
 
 fn write_text(path: &str, text: &str) {
     std::fs::write(path, text)
-        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        .unwrap_or_else(|e| exit_with_error(&format!("cannot write {path}: {e}")));
     eprintln!("wrote {path}");
 }
 
@@ -69,11 +71,11 @@ fn cmd_export() {
     }
     let refs = arg_value("--refs=").map(|v| {
         v.parse()
-            .unwrap_or_else(|e| panic!("bad --refs value {v:?}: {e}"))
+            .unwrap_or_else(|e| exit_with_error(&format!("bad --refs value {v:?}: {e}")))
     });
     let window = arg_value("--window=").map_or(0u64, |v| {
         v.parse()
-            .unwrap_or_else(|e| panic!("bad --window value {v:?}: {e}"))
+            .unwrap_or_else(|e| exit_with_error(&format!("bad --window value {v:?}: {e}")))
     });
     let export = match refs {
         Some(n) => flight::collect_sized(n, window),

@@ -47,11 +47,14 @@
 //! (conservation-checked event/metrics cells per protocol, DESIGN.md
 //! §5h); any cell whose event ledger fails to reconcile against its
 //! `SimStats` makes the run exit non-zero.
+//!
+//! Exit status: 0 on success, 1 if any gate fails, 2 on a bad argument
+//! or an unreadable or unwritable file.
 
 use ulc_bench::sweep::Sweep;
 use ulc_bench::{
-    ablation, degradation, fig2, fig3, fig6, fig7, flight, maybe_write_json, table1, throughput,
-    Scale,
+    ablation, degradation, exit_with_error, fig2, fig3, fig6, fig7, flight, maybe_write_json,
+    table1, throughput, write_json_or_exit, Scale,
 };
 use ulc_hierarchy::FaultScenario;
 
@@ -61,7 +64,7 @@ fn fault_scenario_from_args() -> FaultScenario {
         if let Some(dsl) = arg.strip_prefix("--faults=") {
             return dsl
                 .parse()
-                .unwrap_or_else(|e| panic!("bad --faults scenario: {e}"));
+                .unwrap_or_else(|e| exit_with_error(&format!("bad --faults scenario: {e}")));
         }
     }
     FaultScenario::mild(1789)
@@ -90,7 +93,7 @@ fn thread_counts_from_args() -> Vec<usize> {
         .map(|s| {
             s.trim()
                 .parse()
-                .unwrap_or_else(|e| panic!("bad --threads value {s:?}: {e}"))
+                .unwrap_or_else(|e| exit_with_error(&format!("bad --threads value {s:?}: {e}")))
         })
         .collect()
 }
@@ -101,10 +104,7 @@ fn run_bench(scale: Scale, json: Option<&str>, baseline: Option<&str>) -> bool {
     let report = throughput::run_with_threads(scale, &thread_counts_from_args());
     println!("{}", throughput::render(&report));
     if let Some(path) = json {
-        let file = std::fs::File::create(path)
-            .unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
-        serde_json::to_writer_pretty(file, &report).expect("report serialises");
-        eprintln!("wrote {path}");
+        write_json_or_exit(path, &report);
     }
     let mut ok = true;
     if let Some(obs) = &report.obs {
@@ -135,9 +135,9 @@ fn run_bench(scale: Scale, json: Option<&str>, baseline: Option<&str>) -> bool {
     }
     let Some(path) = baseline else { return ok };
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    let base: throughput::ThroughputReport =
-        serde_json::from_str(&text).expect("baseline parses");
+        .unwrap_or_else(|e| exit_with_error(&format!("cannot read baseline {path}: {e}")));
+    let base: throughput::ThroughputReport = serde_json::from_str(&text)
+        .unwrap_or_else(|e| exit_with_error(&format!("baseline {path} does not parse: {e}")));
     let failures = throughput::check_against_baseline(&report, &base, MAX_BENCH_REGRESSION);
     if failures.is_empty() {
         eprintln!("bench gate: ok ({} baseline rows)", base.rows.len());
@@ -170,10 +170,7 @@ fn run_obs_export(scale: Scale, path: &str) -> bool {
     }
     let export = flight::collect(scale);
     let failures = flight::verify_export(&export);
-    let file = std::fs::File::create(path)
-        .unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
-    serde_json::to_writer_pretty(file, &export).expect("flight export serialises");
-    eprintln!("wrote {path}");
+    write_json_or_exit(path, &export);
     if failures.is_empty() {
         eprintln!(
             "obs-export gate: ok ({} cells, window = {} ticks)",

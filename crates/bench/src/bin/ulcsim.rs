@@ -18,8 +18,11 @@
 //! * `--scheme=<indlru|unilru|mq|ulc|all>` (default `all`; `mq` needs
 //!   exactly two levels);
 //! * `--warmup=<n>`: warm-up references (default: first tenth).
+//!
+//! A bad argument, an unreadable trace file or a scheme that does not
+//! fit the hierarchy exits 2 with a message.
 
-use ulc_bench::{ms, pct, row};
+use ulc_bench::{exit_with_error, ms, pct, row};
 use ulc_core::{UlcConfig, UlcMulti, UlcMultiConfig, UlcSingle};
 use ulc_hierarchy::{
     simulate, CostModel, IndLru, LruMqServer, MultiLevelPolicy, UniLru, UniLruVariant,
@@ -35,7 +38,15 @@ struct Args {
     warmup: Option<usize>,
 }
 
-fn parse_args() -> Args {
+const SCHEMES: [&str; 5] = ["indlru", "unilru", "mq", "ulc", "all"];
+
+fn parse_num(flag: &str, v: &str) -> Result<usize, String> {
+    v.trim()
+        .parse()
+        .map_err(|e| format!("{flag} takes a non-negative integer, got {v:?}: {e}"))
+}
+
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         workload: "tpcc1".into(),
         trace_file: None,
@@ -50,31 +61,44 @@ fn parse_args() -> Args {
         } else if let Some(v) = arg.strip_prefix("--trace=") {
             args.trace_file = Some(v.into());
         } else if let Some(v) = arg.strip_prefix("--refs=") {
-            args.refs = v.parse().expect("--refs takes an integer");
+            args.refs = parse_num("--refs", v)?;
         } else if let Some(v) = arg.strip_prefix("--caps=") {
             args.caps = v
                 .split(',')
-                .map(|c| c.trim().parse().expect("--caps takes integers"))
-                .collect();
+                .map(|c| parse_num("--caps", c))
+                .collect::<Result<_, _>>()?;
         } else if let Some(v) = arg.strip_prefix("--scheme=") {
             args.scheme = v.to_lowercase();
         } else if let Some(v) = arg.strip_prefix("--warmup=") {
-            args.warmup = Some(v.parse().expect("--warmup takes an integer"));
+            args.warmup = Some(parse_num("--warmup", v)?);
         } else {
-            panic!("unknown argument {arg:?}");
+            return Err(format!("unknown argument {arg:?}"));
         }
     }
-    assert!(!args.caps.is_empty(), "--caps needs at least one level");
-    args
+    if args.caps.contains(&0) {
+        return Err(format!(
+            "--caps={:?}: every level needs at least one block",
+            args.caps
+        ));
+    }
+    if !SCHEMES.contains(&args.scheme.as_str()) {
+        return Err(format!(
+            "unknown scheme {:?} (use {})",
+            args.scheme,
+            SCHEMES.join("|")
+        ));
+    }
+    Ok(args)
 }
 
-fn load_workload(args: &Args) -> Trace {
+fn load_workload(args: &Args) -> Result<Trace, String> {
     if let Some(path) = &args.trace_file {
-        let file = std::fs::File::open(path).expect("trace file should open");
-        return ulc_trace::io::read_text(file).expect("trace file should parse");
+        let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+        return ulc_trace::io::read_text(file)
+            .map_err(|e| format!("{path} is not a text trace: {e}"));
     }
     let n = args.refs;
-    match args.workload.as_str() {
+    Ok(match args.workload.as_str() {
         "cs" => synthetic::cs(n),
         "glimpse" => synthetic::glimpse(n),
         "zipf" => synthetic::zipf_small(n),
@@ -89,18 +113,31 @@ fn load_workload(args: &Args) -> Trace {
         "httpd-multi" => synthetic::httpd_multi(n),
         "openmail" => synthetic::openmail(n, 150_000),
         "db2" => synthetic::db2_multi(n, 85_000),
-        other => panic!("unknown workload {other:?}"),
-    }
+        other => return Err(format!("unknown workload {other:?}")),
+    })
 }
 
+/// Builds the requested schemes. With `all`, a scheme the hierarchy
+/// shape does not fit is skipped; asked for by name, it is an error.
 fn build_schemes(
     name: &str,
     caps: &[usize],
     clients: usize,
-) -> Vec<Box<dyn MultiLevelPolicy>> {
+) -> Result<Vec<Box<dyn MultiLevelPolicy>>, String> {
     let multi_client = clients > 1;
     let client_caps = vec![caps[0]; clients];
     let shared: Vec<usize> = caps[1..].to_vec();
+    let mq_fits = caps.len() == 2;
+    let ulc_fits = !multi_client || caps.len() == 2;
+    if name == "mq" && !mq_fits {
+        return Err(format!("--scheme=mq needs exactly two levels, got {}", caps.len()));
+    }
+    if name == "ulc" && !ulc_fits {
+        return Err(format!(
+            "multi-client ULC needs exactly two levels, got {}",
+            caps.len()
+        ));
+    }
     let mut out: Vec<Box<dyn MultiLevelPolicy>> = Vec::new();
     let want = |s: &str| name == "all" || name == s;
     if want("indlru") {
@@ -116,12 +153,11 @@ fn build_schemes(
             UniLruVariant::MruInsert,
         )));
     }
-    if want("mq") && caps.len() == 2 {
+    if want("mq") && mq_fits {
         out.push(Box::new(LruMqServer::new(client_caps.clone(), caps[1])));
     }
-    if want("ulc") {
+    if want("ulc") && ulc_fits {
         if multi_client {
-            assert_eq!(caps.len(), 2, "multi-client ULC needs exactly two levels");
             out.push(Box::new(UlcMulti::new(UlcMultiConfig {
                 client_capacities: client_caps,
                 server_capacity: caps[1],
@@ -131,8 +167,7 @@ fn build_schemes(
             out.push(Box::new(UlcSingle::new(UlcConfig::new(caps.to_vec()))));
         }
     }
-    assert!(!out.is_empty(), "no scheme matched {name:?}");
-    out
+    Ok(out)
 }
 
 fn cost_model(levels: usize) -> CostModel {
@@ -146,7 +181,8 @@ fn cost_model(levels: usize) -> CostModel {
             for i in 2..n {
                 hit.push(1.0 + 0.2 * (i as f64 - 1.0));
             }
-            let miss = hit.last().unwrap() + 10.0;
+            hit.truncate(n);
+            let miss = hit.last().expect("one hit time per level") + 10.0;
             let mut demote = vec![1.0];
             demote.resize(n - 1, 0.2);
             CostModel {
@@ -159,10 +195,23 @@ fn cost_model(levels: usize) -> CostModel {
 }
 
 fn main() {
-    let args = parse_args();
-    let trace = load_workload(&args);
+    if let Err(msg) = run() {
+        exit_with_error(&msg);
+    }
+}
+
+fn run() -> Result<(), String> {
+    let args = parse_args()?;
+    let trace = load_workload(&args)?;
     let clients = trace.num_clients().max(1) as usize;
     let warmup = args.warmup.unwrap_or_else(|| trace.warmup_len());
+    if warmup > trace.len() {
+        return Err(format!(
+            "--warmup={warmup} exceeds the trace length {}",
+            trace.len()
+        ));
+    }
+    let mut schemes = build_schemes(&args.scheme, &args.caps, clients)?;
     let costs = cost_model(args.caps.len());
     println!(
         "workload {} ({}), caps {:?}, warmup {}",
@@ -183,7 +232,7 @@ fn main() {
     header.push("T_ave".into());
     println!("{}", row("scheme", &header));
 
-    for scheme in build_schemes(&args.scheme, &args.caps, clients).iter_mut() {
+    for scheme in schemes.iter_mut() {
         let stats = simulate(scheme.as_mut(), &trace, warmup);
         let mut cells = vec![];
         for h in stats.hit_rates() {
@@ -196,4 +245,5 @@ fn main() {
         cells.push(ms(stats.average_access_time(&costs)));
         println!("{}", row(scheme.name(), &cells));
     }
+    Ok(())
 }

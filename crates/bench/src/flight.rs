@@ -238,7 +238,10 @@ pub struct FlightExport {
 
 /// Runs one flight cell: recording + timeline from the first reference,
 /// full conservation and window-conservation checks, full dump.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a cell's labels, policy, trace and run closure are independent inputs"
+)]
 fn flight_cell<P: MultiLevelPolicy + Observe>(
     protocol: &str,
     workload: &str,

@@ -18,7 +18,6 @@
 //! paper scale (hours) or at a reduced reference-count scale (minutes)
 //! with identical footprints and cache-size ratios.
 
-#![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod ablation;
@@ -54,7 +53,8 @@ pub enum Scale {
 
 impl Scale {
     /// Parses `--scale=<smoke|default|full>`-style command line
-    /// arguments, defaulting to [`Scale::Default`].
+    /// arguments, defaulting to [`Scale::Default`]. An unknown scale
+    /// exits through [`exit_with_error`].
     pub fn from_args() -> Scale {
         for arg in std::env::args() {
             if let Some(v) = arg.strip_prefix("--scale=") {
@@ -62,8 +62,9 @@ impl Scale {
                     "smoke" => Scale::Smoke,
                     "default" => Scale::Default,
                     "full" => Scale::Full,
-                    // lint:allow(panic) CLI argument validation; aborting with a clear message is the contract
-                    other => panic!("unknown scale {other:?} (use smoke|default|full)"),
+                    other => exit_with_error(&format!(
+                        "unknown scale {other:?} (use smoke|default|full)"
+                    )),
                 };
             }
         }
@@ -98,21 +99,33 @@ impl Scale {
     }
 }
 
+/// Reports a bad command-line argument or an unreadable or unwritable
+/// file on stderr and exits with status 2, the code every binary of this
+/// crate uses for such errors (a failed gate exits 1 instead).
+pub fn exit_with_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
+}
+
+/// Writes `value` as pretty JSON to `path`, exiting through
+/// [`exit_with_error`] if the file cannot be written.
+pub fn write_json_or_exit<T: Serialize>(path: &str, value: &T) {
+    let written = std::fs::File::create(path)
+        .map_err(|e| e.to_string())
+        .and_then(|file| serde_json::to_writer_pretty(file, value).map_err(|e| e.to_string()));
+    if let Err(e) = written {
+        exit_with_error(&format!("cannot write {path}: {e}"));
+    }
+    eprintln!("wrote {path}");
+}
+
 /// Writes `value` as JSON to the path given by a `--json=<path>` command
 /// line argument, if present. Every figure binary calls this so results
 /// can feed external plotting.
-///
-/// # Panics
-///
-/// Panics if the file cannot be written.
 pub fn maybe_write_json<T: Serialize>(value: &T) {
     for arg in std::env::args() {
         if let Some(path) = arg.strip_prefix("--json=") {
-            let file = std::fs::File::create(path)
-                // lint:allow(panic) documented `# Panics` contract; the message needs the runtime path
-                .unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
-            serde_json::to_writer_pretty(file, value).expect("JSON serialisation");
-            eprintln!("wrote {path}");
+            write_json_or_exit(path, value);
         }
     }
 }

@@ -101,6 +101,9 @@ impl SweepSummary {
 
 type SweepTask<R> = Box<dyn FnOnce() -> R + Send>;
 
+/// A queued task's slot in the worker pool: taken exactly once.
+type TaskSlot<R> = Mutex<Option<(String, SweepTask<R>)>>;
+
 /// A set of named, independent tasks run concurrently with per-task
 /// timing. Results come back in submission order.
 pub struct Sweep<R: Send> {
@@ -134,9 +137,12 @@ impl<R: Send> Sweep<R> {
     /// Runs every queued task across the worker pool; returns the results
     /// in submission order plus the timing summary.
     pub fn run(self) -> (Vec<R>, SweepSummary) {
-        // lint:allow(determinism) wall-clock timing of the sweep harness itself; never feeds simulator results
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock timing of the sweep harness itself; never feeds simulator results"
+        )]
         let started = Instant::now();
-        let cells: Vec<Mutex<Option<(String, SweepTask<R>)>>> =
+        let cells: Vec<TaskSlot<R>> =
             self.tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
         let timed: Vec<(String, R, f64)> = par_map(&cells, |cell| {
             let (name, task) = cell
@@ -144,7 +150,10 @@ impl<R: Send> Sweep<R> {
                 .expect("unpoisoned task slot")
                 .take()
                 .expect("each task runs once");
-            // lint:allow(determinism) per-task wall time for the timing summary; never feeds simulator results
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-task wall time for the timing summary; never feeds simulator results"
+            )]
             let t0 = Instant::now();
             let result = task();
             (name, result, t0.elapsed().as_secs_f64() * 1e3)

@@ -155,7 +155,10 @@ fn scale_label(scale: Scale) -> &'static str {
 
 /// Times one full `simulate` run and returns accesses per second.
 fn accesses_per_sec<P: MultiLevelPolicy>(mut policy: P, trace: &Trace) -> f64 {
-    // lint:allow(determinism) wall-clock timing of the harness itself; never feeds simulator results
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock timing of the harness itself; never feeds simulator results"
+    )]
     let start = Instant::now();
     let stats = simulate(&mut policy, trace, trace.warmup_len());
     let secs = start.elapsed().as_secs_f64().max(1e-9);
@@ -225,7 +228,10 @@ fn best_sharded_aps<F: Fn() -> UlcMulti>(build: F, trace: &Trace, threads: usize
     let mut spent_secs = 0.0;
     for run in 0..6 {
         let mut policy = build();
-        // lint:allow(determinism) wall-clock timing of the harness itself; never feeds simulator results
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock timing of the harness itself; never feeds simulator results"
+        )]
         let start = Instant::now();
         let stats = replayer.replay(&mut policy, trace, trace.warmup_len());
         let secs = start.elapsed().as_secs_f64().max(1e-9);

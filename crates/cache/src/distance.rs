@@ -7,6 +7,9 @@
 //! [`lru_stack_distances`] computes it in O(n log n) on a [`RecencyList`]
 //! (a stamp-keyed Fenwick LRU list), instead of O(n²) list walking.
 
+// A per-reference hot-path module: no SipHash std tables (DESIGN.md §5e).
+#![warn(clippy::disallowed_types)]
+
 use crate::RecencyList;
 use fxhash::FxHashMap;
 use std::hash::Hash;
@@ -185,6 +188,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "a test-only interning oracle")]
     fn indexed_matches_generic_on_interned_stream() {
         let mut x = 3u64;
         let t: Vec<u64> = (0..2000)

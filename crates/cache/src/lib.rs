@@ -33,7 +33,6 @@
 //! assert!(lru.is_full());
 //! ```
 
-#![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod distance;

@@ -14,6 +14,9 @@
 //! of resident HIR blocks, stack pruning, and LIR/HIR status exchanges on
 //! low-recency re-references.
 
+// A per-reference hot-path module: no SipHash std tables (DESIGN.md §5e).
+#![warn(clippy::disallowed_types)]
+
 use crate::{CacheEvent, LruStack};
 use fxhash::FxHashMap;
 use std::hash::Hash;
@@ -97,6 +100,11 @@ impl<K: Eq + Hash + Clone> Lirs<K> {
         assert!(self.resident <= self.capacity, "residency within capacity");
         assert!(self.lir_count <= self.lir_capacity, "LIR set within its bound");
         let (mut lir, mut hir_resident, mut hir_history) = (0usize, 0usize, 0usize);
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "the checks and counts are order-independent"
+        )]
         for (key, status) in self.status.iter() {
             match status {
                 Status::Lir => {
@@ -332,6 +340,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "a test-only residency model")]
     fn hit_iff_resident_model() {
         let mut lirs = Lirs::new(6, 0.34);
         let mut resident = std::collections::HashSet::new();

@@ -1,5 +1,8 @@
 //! Keyed LRU stacks and a bounded LRU cache.
 
+// A per-reference hot-path module: no SipHash std tables (DESIGN.md §5e).
+#![warn(clippy::disallowed_types)]
+
 use crate::{LinkedSlab, NodeHandle};
 use fxhash::FxHashMap;
 use std::hash::Hash;

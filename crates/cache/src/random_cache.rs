@@ -154,6 +154,10 @@ mod tests {
         for i in 0..100u64 {
             c.access(i);
         }
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "checks every entry; order-independent"
+        )]
         for (k, &slot) in &c.index {
             assert_eq!(&c.slots[slot], k);
         }

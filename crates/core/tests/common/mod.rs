@@ -1,7 +1,10 @@
 //! Helpers shared by the integration suites (differential oracles,
 //! chaos, observability conservation). Each suite pulls in the subset it
 //! needs via `mod common;`.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each suite uses a different subset of these helpers"
+)]
 
 use ulc_hierarchy::plane::FaultScenario;
 use ulc_hierarchy::{AccessOutcome, MultiLevelPolicy, SimStats};

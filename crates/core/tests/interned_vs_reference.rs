@@ -45,7 +45,7 @@ fn uni_lru_variants_match_reference_on_every_workload() {
             UniLruVariant::LruInsert,
             UniLruVariant::Adaptive,
         ] {
-            let caps = vec![400usize, 400, 400];
+            let caps = [400usize, 400, 400];
             let dense = UniLru::multi_client(vec![caps[0]], caps[1..].to_vec(), variant);
             let hashed = UniLru::multi_client_with_mode(
                 vec![caps[0]],

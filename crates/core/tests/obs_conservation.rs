@@ -73,12 +73,10 @@ fn reconciled<P: MultiLevelPolicy + Observe>(name: &str, mut policy: P, trace: &
     );
     policy.obs_mut().finish();
     let rec = policy.obs().recorder().expect("obs feature attaches a recorder");
-    if let Err(e) = check::reconcile(rec, &view(&stats)) {
-        panic!("{name}: conservation failed: {e}");
-    }
-    if let Err(e) = check::windows_reconcile(rec) {
-        panic!("{name}: per-window conservation failed: {e}");
-    }
+    let whole = check::reconcile(rec, &view(&stats));
+    assert!(whole.is_ok(), "{name}: conservation failed: {whole:?}");
+    let windows = check::windows_reconcile(rec);
+    assert!(windows.is_ok(), "{name}: per-window conservation failed: {windows:?}");
     let timeline = rec.timeline().expect("timeline attached");
     assert!(!timeline.truncated(), "{name}: timeline sized for the whole run");
     (policy, stats)

@@ -30,8 +30,11 @@
 //!
 //! Determinism: [`FaultyPlane`] draws every fault decision from the
 //! vendored `rand::rngs::StdRng` seeded by [`FaultScenario::seed`] — the
-//! `ulc-lint` determinism rule rejects any other randomness source here —
+//! workspace's `disallowed-methods` lint rejects ambient randomness —
 //! so a scenario replays bit-identically.
+
+// A per-reference hot-path module: no SipHash std tables (DESIGN.md §5e).
+#![warn(clippy::disallowed_types)]
 
 use crate::stats::FaultSummary;
 use rand::rngs::StdRng;

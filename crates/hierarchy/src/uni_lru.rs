@@ -29,6 +29,9 @@
 //! refresh), drops late demotes that would break exclusivity, and
 //! [`UniLru::reconcile`] repairs any residual duplicate residency.
 
+// A per-reference hot-path module: no SipHash std tables (DESIGN.md §5e).
+#![warn(clippy::disallowed_types)]
+
 use crate::plane::{DeliveryBatch, Direction, Message, MessagePlane, ReliablePlane, RpcFate};
 use crate::stats::FaultSummary;
 use crate::{AccessOutcome, MultiLevelPolicy};

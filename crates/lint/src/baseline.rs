@@ -127,18 +127,43 @@ mod tests {
 
     #[test]
     fn fingerprints_ignore_lines_and_embedded_numbers() {
-        let a = fingerprint("a.rs", "panic", "chain x (a.rs:10) → y (a.rs:20)", 0);
-        let b = fingerprint("a.rs", "panic", "chain x (a.rs:11) → y (a.rs:99)", 0);
+        let a = fingerprint(
+            "a.rs",
+            "hot-path-alloc",
+            "chain x (a.rs:10) → y (a.rs:20)",
+            0,
+        );
+        let b = fingerprint(
+            "a.rs",
+            "hot-path-alloc",
+            "chain x (a.rs:11) → y (a.rs:99)",
+            0,
+        );
         assert_eq!(a, b);
-        let c = fingerprint("b.rs", "panic", "chain x (a.rs:10) → y (a.rs:20)", 0);
+        let c = fingerprint(
+            "b.rs",
+            "hot-path-alloc",
+            "chain x (a.rs:10) → y (a.rs:20)",
+            0,
+        );
         assert_ne!(a, c, "file is part of the identity");
     }
 
     #[test]
     fn identical_findings_get_distinct_occurrences() {
         let mut diags = vec![
-            diag("a.rs", 3, "panic", "`unwrap()` in library code"),
-            diag("a.rs", 9, "panic", "`unwrap()` in library code"),
+            diag(
+                "a.rs",
+                3,
+                "hot-path-alloc",
+                "`vec!` allocates on a per-access path",
+            ),
+            diag(
+                "a.rs",
+                9,
+                "hot-path-alloc",
+                "`vec!` allocates on a per-access path",
+            ),
         ];
         assign_fingerprints(&mut diags);
         assert_ne!(diags[0].fingerprint, diags[1].fingerprint);
@@ -153,7 +178,12 @@ mod tests {
         let dir = std::env::temp_dir().join("ulc_lint_baseline_test");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("baseline.txt");
-        let mut old = vec![diag("a.rs", 3, "panic", "`unwrap()` in library code")];
+        let mut old = vec![diag(
+            "a.rs",
+            3,
+            "hot-path-alloc",
+            "`vec!` allocates on a per-access path",
+        )];
         assign_fingerprints(&mut old);
         write_baseline(&path, &old).expect("write");
         let set = read_baseline(&path).expect("read");
@@ -161,8 +191,18 @@ mod tests {
         assert!(new_findings(&old, &set).is_empty(), "old finding is known");
 
         let mut newer = vec![
-            diag("a.rs", 3, "panic", "`unwrap()` in library code"),
-            diag("b.rs", 1, "determinism", "`thread_rng` is unseeded"),
+            diag(
+                "a.rs",
+                3,
+                "hot-path-alloc",
+                "`vec!` allocates on a per-access path",
+            ),
+            diag(
+                "b.rs",
+                1,
+                "plane-exhaustive",
+                "handler names 2 of 3 variants",
+            ),
         ];
         assign_fingerprints(&mut newer);
         let fresh = new_findings(&newer, &set);
@@ -176,7 +216,11 @@ mod tests {
         let dir = std::env::temp_dir().join("ulc_lint_baseline_test2");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("baseline.txt");
-        std::fs::write(&path, "# header\n\nabcdef0123456789 panic a.rs:3\n").expect("write");
+        std::fs::write(
+            &path,
+            "# header\n\nabcdef0123456789 hot-path-alloc a.rs:3\n",
+        )
+        .expect("write");
         let set = read_baseline(&path).expect("read");
         assert!(set.contains("abcdef0123456789"), "{set:?}");
         std::fs::remove_file(&path).ok();

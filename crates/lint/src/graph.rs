@@ -1,6 +1,6 @@
 //! Workspace symbol table, conservative call graph and reachability.
 //!
-//! The zero-allocation and panic-free contracts are properties of the
+//! The zero-allocation contract is a property of the
 //! *per-access call tree*, not of any fixed file list: a root like
 //! `access_into` must not reach an allocating helper no matter how many
 //! modules away it lives (DESIGN.md §5g). This module builds the graph
@@ -343,10 +343,13 @@ impl CallGraph {
     }
 }
 
+/// `(first, last)` line spans of marker comments.
+type Anchors = Vec<(usize, usize)>;
+
 /// `(hot-root lines, cold-path lines)` marker anchors in a file: a marker
 /// on line `l` governs a `fn` starting on `l` (trailing style) or within
 /// the three lines below (banner style, allowing attributes between).
-fn marker_lines(f: &FileUnit) -> (Vec<(usize, usize)>, Vec<(usize, usize)>) {
+fn marker_lines(f: &FileUnit) -> (Anchors, Anchors) {
     let mut hot = Vec::new();
     let mut cold = Vec::new();
     for c in &f.lexed.comments {

@@ -16,7 +16,7 @@
 //! ```
 //! use ulc_lint::lexer::{lex, TokenKind};
 //!
-//! let file = lex("let x = m.iter(); // lint:allow(determinism) sorted upstream\n");
+//! let file = lex("let x = m.iter(); // lint:allow(hot-path-alloc) warm-up only\n");
 //! let idents: Vec<&str> = file
 //!     .tokens
 //!     .iter()

@@ -1,18 +1,20 @@
 //! `ulc-lint` — a self-contained static-analysis pass over the workspace.
 //!
-//! The repo's headline guarantees — bit-identical deterministic replay,
-//! zero steady-state allocations per access, panic-free engine code —
-//! have source-level preconditions which `rustc` does not check. This
-//! crate enforces them with a hand-rolled multi-pass analyzer — no
-//! crates.io dependencies, in the same spirit as the vendored stand-ins:
+//! rustc and clippy check the repo's per-token hygiene through the
+//! workspace lint table (DESIGN.md §5c). Two headline guarantees have
+//! preconditions no compiler lint checks: zero steady-state allocations
+//! per access anywhere on the per-access call tree, and exhaustive
+//! handling of the shared plane messages. This crate enforces them, and
+//! keeps its own allowlist live, with a hand-rolled multi-pass analyzer
+//! — no crates.io dependencies, in the same spirit as the vendored
+//! stand-ins:
 //!
 //! * [`lexer`] tokenises Rust source (tokens + comments, with lines);
 //! * [`parser`] extracts the item skeleton (`fn`/`impl`/`trait`/`struct`/
 //!   `enum` with spans, signatures and bodies);
 //! * [`graph`] builds the workspace symbol table and conservative call
 //!   graph, discovers the per-access roots and computes reachability;
-//! * [`rules`] implements the rule classes (per-file and
-//!   interprocedural) and the allowlist protocol;
+//! * [`rules`] implements the rules and the allowlist protocol;
 //! * [`baseline`] assigns stable fingerprints and implements the CI
 //!   diff gate (`--baseline`/`--write-baseline`);
 //! * [`lint_workspace`] walks `crates/*/src`, `src/` and `tests/` in
@@ -22,8 +24,6 @@
 //! exits non-zero if anything is flagged; `--json=PATH` additionally
 //! writes a machine-readable report for CI, and `--baseline=PATH` turns
 //! the wall into a diff gate that fails only on new findings.
-
-#![warn(missing_docs)]
 
 pub mod baseline;
 pub mod graph;
@@ -162,16 +162,16 @@ mod tests {
 
     #[test]
     fn diagnostic_display_is_file_line_rule() {
-        let d = Diagnostic::new("a/b.rs", 7, "panic", "no");
-        assert_eq!(d.to_string(), "a/b.rs:7: [panic] no");
+        let d = Diagnostic::new("a/b.rs", 7, "dead-allow", "no");
+        assert_eq!(d.to_string(), "a/b.rs:7: [dead-allow] no");
     }
 
     #[test]
     fn diagnostics_serialize_to_json() {
-        let d = Diagnostic::new("a.rs", 1, "determinism", "m");
+        let d = Diagnostic::new("a.rs", 1, "hot-path-alloc", "m");
         let s = serde_json::to_string(&d).expect("serializable");
         assert!(s.contains("\"file\""), "{s}");
-        assert!(s.contains("determinism"), "{s}");
+        assert!(s.contains("hot-path-alloc"), "{s}");
         assert!(s.contains("\"fingerprint\""), "{s}");
     }
 

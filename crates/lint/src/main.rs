@@ -18,9 +18,10 @@ use std::process::ExitCode;
 const USAGE: &str = "\
 usage: ulc-lint [OPTIONS]
 
-A self-contained static-analysis pass over the ULC workspace: per-file
-hygiene rules plus interprocedural zero-alloc/no-panic reachability over
-the workspace call graph (DESIGN.md \u{a7}5c, \u{a7}5g).
+A self-contained static-analysis pass over the ULC workspace for the
+checks rustc and clippy do not give: interprocedural zero-alloc
+reachability over the workspace call graph, plane-message
+exhaustiveness and a live allowlist (DESIGN.md \u{a7}5g).
 
 options:
   --root=PATH            workspace root to lint (default: .)

@@ -110,11 +110,11 @@ impl Drop for Scratch {
     }
 }
 
-/// One pre-existing finding: `unwrap` in library code.
-const SEEDED: &str = "/// Doc.\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-/// The seeded finding plus a new one in a second function.
-const GROWN: &str = "/// Doc.\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n\
-                     /// Doc.\npub fn g(x: Option<u8>) -> u8 { x.expect(\"\") }\n";
+/// One pre-existing finding: an allocation on a per-access path.
+const SEEDED: &str = "/// Doc.\npub fn access_into(b: u32) -> Vec<u32> { vec![b] }\n";
+/// The seeded finding plus a new one in a second per-access root.
+const GROWN: &str = "/// Doc.\npub fn access_into(b: u32) -> Vec<u32> { vec![b] }\n\
+                     /// Doc.\npub fn deliver_into(b: u32) -> Vec<u32> { [b].to_vec() }\n";
 
 #[test]
 fn baseline_gate_passes_on_known_findings_and_fails_on_new_ones() {
@@ -127,7 +127,11 @@ fn baseline_gate_passes_on_known_findings_and_fails_on_new_ones() {
     // Without a baseline, the seeded finding fails the run outright.
     let out = run(&[&root]);
     assert_eq!(code(&out), 1);
-    assert!(stdout(&out).contains("[panic]"), "{}", stdout(&out));
+    assert!(
+        stdout(&out).contains("[hot-path-alloc]"),
+        "{}",
+        stdout(&out)
+    );
 
     // Record the baseline; the gate now passes and labels it [known].
     let out = run(&[&root, &base_arg("--write-baseline=")]);

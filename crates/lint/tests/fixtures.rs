@@ -1,124 +1,23 @@
-//! Self-test of the linter against the fixture suite: one file per rule
-//! with positive, negative and allowlisted cases, asserting the exact
-//! `file:line` diagnostics each must produce.
+//! Self-test of the linter against the fixture suite: one positive file
+//! per rule plus the lexer edge cases, asserting the exact `file:line`
+//! diagnostics each must produce.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
-use ulc_lint::rules::FileKind;
+use ulc_lint::rules::{FileKind, ALL_RULES};
 use ulc_lint::{lint_source, Diagnostic};
 
 fn lint_fixture(name: &str) -> Vec<Diagnostic> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(name);
-    let src = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("fixture {name} unreadable: {e}"));
+    let src = std::fs::read_to_string(&path).expect("fixture readable");
     lint_source(name, &src, FileKind::Library)
 }
 
 /// The (line, rule) signature of a diagnostic list.
 fn signature(diags: &[Diagnostic]) -> Vec<(usize, &str)> {
     diags.iter().map(|d| (d.line, d.rule.as_str())).collect()
-}
-
-#[test]
-fn determinism_positive_cases() {
-    let d = lint_fixture("determinism_pos.rs");
-    assert_eq!(
-        signature(&d),
-        [
-            (12, "determinism"), // self.table.iter() in a fold
-            (19, "determinism"), // self.table.keys()
-            (25, "determinism"), // for … in &seen
-            (31, "determinism"), // Instant::now()
-            (35, "determinism"), // thread_rng()
-        ],
-        "{d:#?}"
-    );
-    assert!(d.iter().all(|x| x.file == "determinism_pos.rs"));
-}
-
-#[test]
-fn determinism_negative_cases() {
-    let d = lint_fixture("determinism_neg.rs");
-    assert!(d.is_empty(), "{d:#?}");
-}
-
-#[test]
-fn determinism_allowlisted_cases() {
-    let d = lint_fixture("determinism_allowed.rs");
-    assert!(d.is_empty(), "{d:#?}");
-}
-
-#[test]
-fn unsafe_positive_cases() {
-    let d = lint_fixture("unsafe_pos.rs");
-    assert_eq!(
-        signature(&d),
-        [
-            (4, "unsafe-comment"),  // unsafe block, no comment
-            (7, "unsafe-comment"),  // unsafe fn, no comment
-            (18, "unsafe-comment"), // SAFETY: comment too far above
-        ],
-        "{d:#?}"
-    );
-}
-
-#[test]
-fn unsafe_negative_cases() {
-    let d = lint_fixture("unsafe_neg.rs");
-    assert!(d.is_empty(), "{d:#?}");
-}
-
-#[test]
-fn panic_positive_cases() {
-    let d = lint_fixture("panic_pos.rs");
-    assert_eq!(
-        signature(&d),
-        [
-            (4, "panic"),  // unwrap()
-            (8, "panic"),  // expect(&msg) — not a string literal
-            (12, "panic"), // expect("") — empty message
-            (16, "panic"), // panic!
-            (21, "panic"), // todo!
-            (22, "panic"), // unimplemented!
-            (23, "panic"), // unreachable!
-        ],
-        "{d:#?}"
-    );
-}
-
-#[test]
-fn panic_negative_cases() {
-    let d = lint_fixture("panic_neg.rs");
-    assert!(d.is_empty(), "{d:#?}");
-}
-
-#[test]
-fn panic_allow_file_cases() {
-    let d = lint_fixture("panic_allowed.rs");
-    assert!(d.is_empty(), "{d:#?}");
-}
-
-#[test]
-fn docs_positive_cases() {
-    let d = lint_fixture("docs_pos.rs");
-    assert_eq!(
-        signature(&d),
-        [
-            (3, "missing-docs"),  // pub fn
-            (5, "missing-docs"),  // pub struct
-            (6, "missing-docs"),  // pub field
-            (9, "missing-docs"),  // pub enum
-            (13, "missing-docs"), // pub const
-        ],
-        "{d:#?}"
-    );
-}
-
-#[test]
-fn docs_negative_cases() {
-    let d = lint_fixture("docs_neg.rs");
-    assert!(d.is_empty(), "{d:#?}");
 }
 
 #[test]
@@ -136,16 +35,29 @@ fn allow_syntax_positive_cases() {
     );
 }
 
-/// Acceptance gate: the fixture suite exercises at least four distinct
-/// rule classes, each with file:line diagnostics.
+#[test]
+fn dead_allow_positive_cases() {
+    let d = lint_fixture("dead_allow_pos.rs");
+    assert_eq!(signature(&d), [(5, "dead-allow")], "{d:#?}");
+}
+
+#[test]
+fn plane_exhaustive_positive_cases() {
+    let d = lint_fixture("plane_exhaustive_pos.rs");
+    assert_eq!(signature(&d), [(13, "plane-exhaustive")], "{d:#?}");
+    assert!(d[0].message.contains("`Reload`, `Notice`"), "{}", d[0].message);
+}
+
+/// The positive fixtures between them exercise exactly the rules the
+/// pass knows: a rule without a fixture, or a fixture for a rule the
+/// pass no longer has, fails here.
 #[test]
 fn fixture_suite_covers_all_rule_classes() {
     let mut rules: Vec<String> = [
-        "determinism_pos.rs",
-        "unsafe_pos.rs",
-        "panic_pos.rs",
-        "docs_pos.rs",
         "allow_syntax_pos.rs",
+        "dead_allow_pos.rs",
+        "plane_exhaustive_pos.rs",
+        "lexer_raw_string.rs",
     ]
     .iter()
     .flat_map(|f| lint_fixture(f))
@@ -153,44 +65,67 @@ fn fixture_suite_covers_all_rule_classes() {
     .collect();
     rules.sort();
     rules.dedup();
-    assert!(rules.len() >= 4, "rule classes covered: {rules:?}");
+    let mut all = ALL_RULES.to_vec();
+    all.sort();
+    assert_eq!(rules, all);
     assert_eq!(
-        rules,
-        ["allow-syntax", "determinism", "missing-docs", "panic", "unsafe-comment"]
+        all,
+        ["allow-syntax", "dead-allow", "hot-path-alloc", "plane-exhaustive"]
     );
 }
 
-fn lint_fixture_as(name: &str, label: &str) -> Vec<Diagnostic> {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name);
-    let src = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("fixture {name} unreadable: {e}"));
-    lint_source(label, &src, FileKind::Library)
-}
-
+/// `#[expect]` raises the lint it names inside its own scope, so the
+/// clippy parity fixture (`examples/clippy_parity.rs`) cannot by itself
+/// tell whether the workspace enables a lint. This closes the gap: every
+/// lint the fixture expects must be raised by the root
+/// `[workspace.lints]` table, except `missing_safety_doc` (on by
+/// default) and `disallowed_types` (`allow` in the table, raised per
+/// hot-path module).
 #[test]
-fn hot_path_map_positive_cases() {
-    // The rule only fires under a hot-path module label.
-    let d = lint_fixture_as("hot_path_map_pos.rs", "crates/core/src/stack.rs");
-    assert_eq!(
-        signature(&d),
-        [
-            (7, "hot-path-map"),  // HashMap field
-            (11, "hot-path-map"), // HashSet return type
-            (12, "hot-path-map"), // HashSet constructor
-        ],
-        "{d:#?}"
-    );
-    // Under any other label the same source is clean.
-    let d = lint_fixture("hot_path_map_pos.rs");
-    assert!(d.is_empty(), "{d:#?}");
-}
-
-#[test]
-fn hot_path_map_negative_cases() {
-    let d = lint_fixture_as("hot_path_map_neg.rs", "crates/trace/src/intern.rs");
-    assert!(d.is_empty(), "{d:#?}");
+fn parity_fixture_lints_are_raised_by_the_workspace_table() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let manifest = std::fs::read_to_string(dir.join("../../Cargo.toml")).expect("root manifest");
+    let mut levels = BTreeMap::new();
+    let mut tool = None;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            tool = line
+                .strip_prefix("[workspace.lints.")
+                .and_then(|t| t.strip_suffix(']'));
+        } else if let (Some(tool), Some((name, level))) = (tool, line.split_once('=')) {
+            let name = name.trim();
+            let lint = match tool {
+                "rust" => name.to_string(),
+                _ => format!("{tool}::{name}"),
+            };
+            levels.insert(lint, level.trim().trim_matches('"').to_string());
+        }
+    }
+    let fixture =
+        std::fs::read_to_string(dir.join("examples/clippy_parity.rs")).expect("parity fixture");
+    let expected: BTreeSet<&str> = fixture
+        .split("#[expect(")
+        .skip(1)
+        .filter_map(|rest| rest.split("reason").next())
+        .flat_map(|lints| lints.split(','))
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && l.chars().all(|c| c.is_alphanumeric() || "_:".contains(c)))
+        .collect();
+    assert!(expected.len() >= 10, "{expected:?}");
+    for lint in expected {
+        let level = levels.get(lint).map(String::as_str);
+        match lint {
+            "clippy::missing_safety_doc" => {}
+            "clippy::disallowed_types" => {
+                assert_eq!(level, Some("allow"), "{levels:?}");
+                assert!(fixture.contains("#![warn(clippy::disallowed_types)]"));
+            }
+            _ => assert!(
+                matches!(level, Some("warn" | "deny")),
+                "`{lint}` is not raised by [workspace.lints]: {levels:?}"
+            ),
+        }
+    }
 }
 
 /// The workspace walk must skip the deliberately-violating fixtures.
@@ -212,23 +147,23 @@ fn workspace_walk_skips_fixtures() {
 #[test]
 fn raw_strings_do_not_smuggle_allow_markers() {
     let d = lint_fixture("lexer_raw_string.rs");
-    assert_eq!(signature(&d), [(14, "panic")], "{d:#?}");
+    assert_eq!(signature(&d), [(14, "hot-path-alloc")], "{d:#?}");
 }
 
 #[test]
 fn nested_block_comments_nest() {
     let d = lint_fixture("lexer_nested_comment.rs");
-    assert_eq!(signature(&d), [(10, "panic")], "{d:#?}");
+    assert_eq!(signature(&d), [(10, "hot-path-alloc")], "{d:#?}");
 }
 
 #[test]
 fn byte_strings_are_data() {
     let d = lint_fixture("lexer_byte_string.rs");
-    assert_eq!(signature(&d), [(9, "panic")], "{d:#?}");
+    assert_eq!(signature(&d), [(9, "hot-path-alloc")], "{d:#?}");
 }
 
 #[test]
 fn lifetimes_are_not_char_literals() {
     let d = lint_fixture("lexer_lifetime.rs");
-    assert_eq!(signature(&d), [(10, "panic")], "{d:#?}");
+    assert_eq!(signature(&d), [(10, "hot-path-alloc")], "{d:#?}");
 }

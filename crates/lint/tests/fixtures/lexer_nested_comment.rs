@@ -1,11 +1,11 @@
-//! Lexer edge case: block comments nest. Panicking calls inside nested
+//! Lexer edge case: block comments nest. Allocations inside nested
 //! comments are dead text; code after the *outer* close is live again.
 
-/* outer /* inner x.unwrap() */ still inside the outer comment */
+/* outer /* inner vec![0] */ still inside the outer comment */
 
-/// The `expect` is swallowed by the nested comment; the `unwrap` after
+/// The `.to_vec()` is swallowed by the nested comment; the `vec!` after
 /// the outer close is live and must be the only finding.
-pub fn live(x: Option<u8>) -> u8 {
-    /* /* deep */ x.expect("would double-report if nesting broke") */
-    x.unwrap()
+pub fn access_into(b: u32) -> Vec<u32> {
+    /* /* deep */ let _ = [b].to_vec(); */
+    vec![b]
 }

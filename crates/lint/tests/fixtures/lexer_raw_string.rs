@@ -3,13 +3,13 @@
 
 /// Help text that *mentions* the allow syntax, as docs tend to.
 pub fn help() -> &'static str {
-    r#"write // lint:allow(panic) reason above the offending line"#
+    r#"write // lint:allow(hot-path-alloc) reason above the offending line"#
 }
 
-/// The unwrap below sits directly under a raw string whose *contents*
+/// The allocation below sits directly under a raw string whose *contents*
 /// look like an allow; a lexer that mistook it for a comment would
 /// wrongly suppress the finding.
-pub fn take(x: Option<u8>) -> u8 {
-    let _s = r##"decoy: lint:allow(panic) hidden behind hashes "# still open"##;
-    x.unwrap()
+pub fn access_into(b: u32) -> Vec<u32> {
+    let _s = r##"decoy: lint:allow(hot-path-alloc) hidden behind hashes "# still open"##;
+    vec![b]
 }

@@ -36,6 +36,9 @@
 //! where order is behaviourally irrelevant (the same rule the workspace
 //! lint enforces for hash maps).
 
+// A per-reference hot-path module: no SipHash std tables (DESIGN.md §5e).
+#![warn(clippy::disallowed_types)]
+
 use crate::{BlockId, Trace};
 use fxhash::FxHashMap;
 
@@ -179,7 +182,10 @@ enum Repr<V> {
         /// [`DIRECT_LIMIT`]).
         sparse: FxHashMap<u64, V>,
     },
-    // lint:allow(hot-path-map) this is the retained map-backed reference representation itself
+    #[expect(
+        clippy::disallowed_types,
+        reason = "this is the retained map-backed reference representation itself"
+    )]
     Hashed(std::collections::HashMap<BlockId, V>),
 }
 
@@ -385,6 +391,10 @@ impl<V> BlockMap<V> {
     /// over the sparse fallback, for [`TableMode::Dense`] and SipHash
     /// order for [`TableMode::Hashed`]; use only where order cannot
     /// influence behaviour.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the documented contract: callers use this only where order cannot leak"
+    )]
     pub fn iter(&self) -> Iter<'_, V> {
         match &self.repr {
             Repr::Dense { direct, sparse, .. } => Iter::Dense {

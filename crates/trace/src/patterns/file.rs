@@ -199,6 +199,10 @@ impl Pattern for FileSetPattern {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests assert over whole count tables; order cannot leak"
+)]
 mod tests {
     use super::*;
     use std::collections::HashMap;

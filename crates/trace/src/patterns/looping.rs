@@ -99,6 +99,10 @@ impl Pattern for LoopingPattern {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests assert over whole count tables; order cannot leak"
+)]
 mod tests {
     use super::*;
 

@@ -43,7 +43,10 @@ impl TraceStats {
         }
         let references = trace.len();
         let unique_blocks = counts.len();
-        // lint:allow(determinism) max over the multiset of counts is order-independent
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "max over the multiset of counts is order-independent"
+        )]
         let max_block_refs = counts.values().copied().max().unwrap_or(0);
         let mean_block_refs = if unique_blocks == 0 {
             0.0

@@ -265,6 +265,10 @@ pub fn db2_multi(refs: usize, footprint_blocks: u64) -> Trace {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests assert over whole count tables; order cannot leak"
+)]
 mod tests {
     use super::*;
     use crate::ClientId;

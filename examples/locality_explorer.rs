@@ -17,7 +17,10 @@ fn pick(name: &str, refs: usize) -> Trace {
         "random" => synthetic::random_small(refs),
         "sprite" => synthetic::sprite(refs),
         "multi" => synthetic::multi_small(refs),
-        other => panic!("unknown workload {other:?}"),
+        other => {
+            eprintln!("unknown workload {other:?} (use cs|glimpse|zipf|random|sprite|multi)");
+            std::process::exit(2);
+        }
     }
 }
 

@@ -6,7 +6,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q --workspace
-cargo clippy --all-targets -- -D warnings
+# Every package and target, under the [workspace.lints] table and
+# clippy.toml (DESIGN.md §5c). From the root without --workspace, clippy
+# would check only the umbrella `ulc` package.
+cargo clippy --workspace --all-targets -- -D warnings
 cargo test --features debug_invariants -q
 
 # Lint gates (ISSUES 5 and 7). The linter's own suite first (parser,

@@ -78,6 +78,10 @@ proptest! {
             let out = ulc.access(ClientId::SINGLE, BlockId::new(blk));
             let after = residency(&ulc);
             let mut expect = vec![0u32; caps.len() - 1];
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "the expected demotion counts are a sum; order-independent"
+            )]
             for (&b, &f) in &before {
                 if let Some(&t) = after.get(&b) {
                     if b != blk && t > f {
