@@ -19,8 +19,9 @@
 //!   exactly two levels);
 //! * `--warmup=<n>`: warm-up references (default: first tenth).
 //!
-//! A bad argument, an unreadable trace file or a scheme that does not
-//! fit the hierarchy exits 2 with a message.
+//! A bad argument, an unreadable trace file, a scheme that does not fit
+//! the hierarchy or a trace naming a client id at or above
+//! [`MAX_CLIENTS`] exits 2 with a message.
 
 use ulc_bench::{exit_with_error, ms, pct, row};
 use ulc_core::{UlcConfig, UlcMulti, UlcMultiConfig, UlcSingle};
@@ -39,6 +40,12 @@ struct Args {
 }
 
 const SCHEMES: [&str; 5] = ["indlru", "unilru", "mq", "ulc", "all"];
+
+/// Bound on the client-id space of a simulated trace. Every scheme builds
+/// one private cache per id up to the largest one named, so an id taken
+/// from a file decides the memory the run needs; the paper's largest
+/// multi-client workload has 8 clients.
+const MAX_CLIENTS: usize = 256;
 
 fn parse_num(flag: &str, v: &str) -> Result<usize, String> {
     v.trim()
@@ -204,6 +211,12 @@ fn run() -> Result<(), String> {
     let args = parse_args()?;
     let trace = load_workload(&args)?;
     let clients = trace.num_clients().max(1) as usize;
+    if clients > MAX_CLIENTS {
+        return Err(format!(
+            "the trace names client id {}; ulcsim simulates at most {MAX_CLIENTS} clients",
+            clients - 1
+        ));
+    }
     let warmup = args.warmup.unwrap_or_else(|| trace.warmup_len());
     if warmup > trace.len() {
         return Err(format!(

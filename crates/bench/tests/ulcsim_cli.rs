@@ -32,6 +32,25 @@ fn malformed_trace_file_is_rejected() {
 }
 
 #[test]
+fn client_id_space_is_bounded() {
+    let path = std::env::temp_dir().join(format!("ulcsim_many_clients_{}.txt", std::process::id()));
+    // One reference from client 256 would otherwise build 257 client caches.
+    std::fs::write(&path, "0 1\n256 2\n").expect("write temp trace");
+    let arg = format!("--trace={}", path.display());
+    assert_rejected(&[&arg, "--caps=4,4"], "at most 256 clients");
+    std::fs::write(&path, "0 1\n255 2\n0 1\n").expect("write temp trace");
+    let out = ulcsim(&[&arg, "--caps=4,4", "--warmup=0"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::write(&path, "4294967296 2\n").expect("write temp trace");
+    assert_rejected(&[&arg, "--caps=4,4"], "line 1");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn zero_capacity_levels_are_rejected() {
     assert_rejected(&["--caps=0,0", "--refs=1000"], "at least one block");
 }

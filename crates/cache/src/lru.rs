@@ -11,7 +11,7 @@ use std::hash::Hash;
 /// removal and bottom access.
 ///
 /// This is the bare recency structure; [`LruCache`] adds a capacity bound
-/// and eviction. ULC's `gLRU` and ghost stacks build on it directly.
+/// and eviction. The LIRS and MQ stacks and queues build on it directly.
 ///
 /// # Examples
 ///

@@ -45,51 +45,60 @@
 
 use crate::scratch::AccessScratch;
 use crate::stack::{Placement, UniLruStack};
-use ulc_cache::LruStack;
+use ulc_cache::{LinkedSlab, NodeHandle};
 use ulc_hierarchy::plane::{DeliveryBatch, Direction, Message, MessagePlane, ReliablePlane, RpcFate};
 use ulc_hierarchy::{AccessOutcome, FaultSummary, MultiLevelPolicy};
 use ulc_obs::{Observe, ObsHandle};
 use ulc_trace::{BlockId, BlockMap, ClientId, TableMode};
 
 /// The server's global LRU stack with per-block owners.
+///
+/// The recency order lives in one slab list (front = most recent cache
+/// request); one block table maps each cached block to its list node and
+/// its owner, so every lookup, ownership change and reordering costs a
+/// single table probe.
 #[derive(Clone, Debug)]
 struct GlobalLru {
-    stack: LruStack<BlockId>,
-    owner: BlockMap<u32>,
+    order: LinkedSlab<BlockId>,
+    slots: BlockMap<(NodeHandle, u32)>,
     capacity: usize,
 }
 
 impl GlobalLru {
     fn new(capacity: usize, mode: TableMode) -> Self {
         assert!(capacity > 0, "server capacity must be positive");
-        let mut stack = LruStack::new();
-        // Occupancy is bounded by `capacity + 1` (cache_request touches
+        let mut order = LinkedSlab::new();
+        // Occupancy is bounded by `capacity + 1` (cache_request inserts
         // before it pops), so the node slots settle during warm-up — but
         // the slab's free list tracks the *deepest occupancy dip*, which a
         // late burst of promotions to client caches can deepen at any
         // point in a run, doubling the free vector inside the measured
         // steady phase (the §5f gate forbids exactly that). Reserving the
         // full capacity up front caps the whole run.
-        stack.reserve(capacity + 1);
-        let mut owner = BlockMap::new(mode);
-        owner.reserve(capacity + 1);
+        order.reserve(capacity + 1);
+        let mut slots = BlockMap::new(mode);
+        slots.reserve(capacity + 1);
         GlobalLru {
-            stack,
-            owner,
+            order,
+            slots,
             capacity,
         }
     }
 
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
     fn contains(&self, block: BlockId) -> bool {
-        self.stack.contains(&block)
+        self.slots.contains_key(block)
     }
 
     fn is_full(&self) -> bool {
-        self.stack.len() >= self.capacity
+        self.len() >= self.capacity
     }
 
     fn owner_of(&self, block: BlockId) -> Option<u32> {
-        self.owner.get(block).copied()
+        self.slots.get(block).map(|&(_, owner)| owner)
     }
 
     /// A client requests `block` be cached here; the block moves to the
@@ -101,14 +110,21 @@ impl GlobalLru {
     /// or its view of the server inflates with blocks whose replacement it
     /// will never hear about.
     fn cache_request(&mut self, block: BlockId, requester: u32) -> CacheRequestEffect {
-        self.stack.touch(block);
-        let transferred_from = self
-            .owner
-            .insert(block, requester)
-            .filter(|&o| o != requester);
-        let replaced = if self.stack.len() > self.capacity {
-            let victim = self.stack.pop_bottom().expect("over-full stack");
-            let owner = self.owner.remove(victim).expect("owned victim");
+        let transferred_from = match self.slots.get_mut(block) {
+            Some((node, owner)) => {
+                self.order.move_to_front(*node);
+                Some(std::mem::replace(owner, requester)).filter(|&o| o != requester)
+            }
+            None => {
+                let node = self.order.push_front(block);
+                self.slots.insert(block, (node, requester));
+                None
+            }
+        };
+        let replaced = if self.len() > self.capacity {
+            let bottom = self.order.back().expect("over-full stack");
+            let victim = self.order.remove(bottom).expect("live bottom node");
+            let (_, owner) = self.slots.remove(victim).expect("owned victim");
             Some((victim, owner))
         } else {
             None
@@ -121,21 +137,22 @@ impl GlobalLru {
 
     /// Drops `block` (its owner is promoting it to the client cache).
     fn remove(&mut self, block: BlockId) {
-        self.stack.remove(&block);
-        self.owner.remove(block);
+        if let Some((node, _)) = self.slots.remove(block) {
+            self.order.remove(node);
+        }
     }
 
     /// Refreshes `block`'s gLRU position without changing its owner
     /// (a non-owner is using the shared copy).
     fn refresh(&mut self, block: BlockId) {
-        if self.owner.contains_key(block) {
-            self.stack.touch(block);
+        if let Some(&(node, _)) = self.slots.get(block) {
+            self.order.move_to_front(node);
         }
     }
 }
 
 /// What one gLRU cache request did.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct CacheRequestEffect {
     /// Block replaced to make room, with its owner.
     replaced: Option<(BlockId, u32)>,
@@ -347,14 +364,14 @@ impl<P: MessagePlane> UlcMulti<P> {
 
     /// Blocks currently cached in the server.
     pub fn server_len(&self) -> usize {
-        self.server.stack.len()
+        self.server.len()
     }
 
     /// How many server blocks each client currently owns — the dynamic
     /// allocation of Figure 5.
     pub fn server_allocation(&self) -> Vec<usize> {
         let mut alloc = vec![0usize; self.clients.len()];
-        for (_, &o) in self.server.owner.iter() {
+        for (_, &(_, o)) in self.server.slots.iter() {
             alloc[o as usize] += 1;
         }
         alloc
@@ -412,10 +429,16 @@ impl<P: MessagePlane> UlcMulti<P> {
         for c in self.clients.iter() {
             c.stack.check_invariants();
         }
-        assert!(self.server.stack.len() <= self.server.capacity);
-        assert_eq!(self.server.stack.len(), self.server.owner.len());
-        for b in self.server.stack.iter() {
-            let o = self.server.owner_of(*b);
+        assert!(self.server.len() <= self.server.capacity);
+        assert_eq!(self.server.len(), self.server.slots.len());
+        for (node, &b) in self.server.order.iter() {
+            let slot = self.server.slots.get(b);
+            assert_eq!(
+                slot.map(|&(n, _)| n),
+                Some(node),
+                "server block {b:?} is mislocated"
+            );
+            let o = self.server.owner_of(b);
             assert!(
                 o.is_some_and(|o| (o as usize) < self.clients.len()),
                 "server block {b:?} has an invalid owner ({o:?})"
@@ -428,7 +451,7 @@ impl<P: MessagePlane> UlcMulti<P> {
     #[cfg(feature = "debug_invariants")]
     fn debug_validate(&mut self) {
         self.tick += 1;
-        if self.server.stack.len() < 64 || self.tick.is_multiple_of(256) {
+        if self.server.len() < 64 || self.tick.is_multiple_of(256) {
             if self.plane.lossy() {
                 self.check_recoverable_invariants();
             } else {
@@ -804,11 +827,11 @@ impl<P: MessagePlane> MultiLevelPolicy for UlcMulti<P> {
     fn prefetch(&self, client: ClientId, block: BlockId) {
         // Semantics-free: pulls the two table rows the upcoming access
         // will probe — the client stack's status row and the server's
-        // owner row — toward the CPU cache (DESIGN.md §5i).
+        // node-and-owner row — toward the CPU cache (DESIGN.md §5i).
         if let Some(cs) = self.clients.get(client.as_usize()) {
             cs.stack.prefetch(block);
         }
-        self.server.owner.prefetch(block);
+        self.server.slots.prefetch(block);
     }
 
     fn num_levels(&self) -> usize {
@@ -839,12 +862,97 @@ impl<P: MessagePlane> Observe for UlcMulti<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use ulc_hierarchy::plane::{FaultScenario, FaultyPlane};
     use ulc_hierarchy::simulate;
     use ulc_trace::synthetic;
 
     fn b(i: u64) -> BlockId {
         BlockId::new(i)
+    }
+
+    /// One step of the gLRU model check.
+    #[derive(Clone, Debug)]
+    enum GlruOp {
+        CacheRequest(u64, u32),
+        Remove(u64),
+        Refresh(u64),
+    }
+
+    fn glru_op() -> impl Strategy<Value = GlruOp> {
+        // Cache requests are the common operation: two arms of four.
+        let request = || (0u64..12, 0u32..4).prop_map(|(b, r)| GlruOp::CacheRequest(b, r));
+        prop_oneof![
+            request(),
+            request(),
+            (0u64..12).prop_map(GlruOp::Remove),
+            (0u64..12).prop_map(GlruOp::Refresh),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The single-probe gLRU behaves exactly like a naive LRU-with-owners
+        /// kept as a `Vec` ordered bottom to top, for any request stream, in
+        /// both table modes and with ids in both the direct and the sparse
+        /// tier of the dense table.
+        #[test]
+        fn glru_matches_naive_model(
+            capacity in 1usize..6,
+            sparse in any::<bool>(),
+            hashed in any::<bool>(),
+            ops in proptest::collection::vec(glru_op(), 1..200),
+        ) {
+            let id = |i: u64| if sparse { b((1 << 40) + i) } else { b(i) };
+            let mode = if hashed { TableMode::Hashed } else { TableMode::Dense };
+            let mut glru = GlobalLru::new(capacity, mode);
+            let mut model: Vec<(BlockId, u32)> = Vec::new();
+            for (step, op) in ops.iter().enumerate() {
+                match *op {
+                    GlruOp::CacheRequest(raw, requester) => {
+                        let block = id(raw);
+                        let prev = model
+                            .iter()
+                            .position(|&(m, _)| m == block)
+                            .map(|i| model.remove(i).1);
+                        model.push((block, requester));
+                        let replaced = (model.len() > capacity).then(|| model.remove(0));
+                        let want = CacheRequestEffect {
+                            replaced,
+                            transferred_from: prev.filter(|&o| o != requester),
+                        };
+                        let got = glru.cache_request(block, requester);
+                        prop_assert_eq!(got, want, "step {}", step);
+                    }
+                    GlruOp::Remove(raw) => {
+                        let block = id(raw);
+                        model.retain(|&(m, _)| m != block);
+                        glru.remove(block);
+                    }
+                    GlruOp::Refresh(raw) => {
+                        let block = id(raw);
+                        if let Some(i) = model.iter().position(|&(m, _)| m == block) {
+                            let e = model.remove(i);
+                            model.push(e);
+                        }
+                        glru.refresh(block);
+                    }
+                }
+                prop_assert_eq!(glru.len(), model.len(), "step {}", step);
+                prop_assert_eq!(glru.is_full(), model.len() >= capacity, "step {}", step);
+                let mut order: Vec<BlockId> = glru.order.iter().map(|(_, &m)| m).collect();
+                order.reverse();
+                let want: Vec<BlockId> = model.iter().map(|&(m, _)| m).collect();
+                prop_assert_eq!(order, want, "step {}: bottom-to-top order", step);
+                for raw in 0..12 {
+                    let block = id(raw);
+                    let owner = model.iter().find(|&&(m, _)| m == block).map(|&(_, o)| o);
+                    prop_assert_eq!(glru.owner_of(block), owner, "step {} block {}", step, raw);
+                    prop_assert_eq!(glru.contains(block), owner.is_some(), "step {}", step);
+                }
+            }
+        }
     }
 
     #[test]

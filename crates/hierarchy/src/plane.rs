@@ -7,7 +7,8 @@
 //! This module makes that assumption an explicit, swappable component.
 //! [`MessagePlane`] is the transport interface; [`ReliablePlane`] is the
 //! perfect transport (bit-identical to the historical in-line behaviour,
-//! proven by the differential suite in `tests/plane_differential.rs`);
+//! proven by the zero-fault differential suite in
+//! `crates/core/tests/protocol_comparison.rs`);
 //! [`FaultyPlane`] is a deterministic chaos transport driven by the
 //! vendored seeded RNG that can **drop**, **duplicate**, **delay**
 //! (bounded reorder) or **burst-delay** messages per link, and inject
@@ -39,7 +40,6 @@
 use crate::stats::FaultSummary;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::str::FromStr;
 use ulc_trace::BlockId;
@@ -646,19 +646,25 @@ impl FromStr for FaultScenario {
 
 /// The deterministic chaos transport.
 ///
-/// All randomness comes from the vendored seeded `StdRng`; queues are
-/// `BTreeMap`s keyed by `(due_tick, sequence)`, so delivery order is a
-/// pure function of the scenario.
+/// All randomness comes from the vendored seeded `StdRng`, so delivery
+/// order is a pure function of the scenario. Queues share
+/// [`ReliablePlane`]'s dense table indexed by `link * 2 + direction`; each
+/// holds `(due_tick, sequence, message)` entries sorted by
+/// `(due_tick, sequence)`. A send whose due tick is not below the back
+/// entry's (every undelayed send) appends; a delayed one is inserted at
+/// its sorted position; delivery pops the due prefix off the front.
 #[derive(Clone, Debug)]
 pub struct FaultyPlane {
     scenario: FaultScenario,
+    /// `scenario.lossy()`, fixed at construction.
+    lossy: bool,
     rng: StdRng,
     now: u64,
     next_seq: u64,
-    queues: BTreeMap<(usize, Direction), BTreeMap<(u64, u64), Message>>,
-    /// Highest sequence number delivered so far per queue, for reorder
-    /// detection.
-    delivered_high: BTreeMap<(usize, Direction), u64>,
+    queues: Vec<VecDeque<(u64, u64, Message)>>,
+    /// Highest sequence number delivered so far per queue slot, for
+    /// reorder detection.
+    delivered_high: Vec<u64>,
     crash_cursor: usize,
     acct: PlaneAccounting,
 }
@@ -669,11 +675,12 @@ impl FaultyPlane {
         scenario.crashes.sort_by_key(|c| c.at);
         let rng = StdRng::seed_from_u64(scenario.seed);
         FaultyPlane {
+            lossy: scenario.lossy(),
             rng,
             now: 0,
             next_seq: 0,
-            queues: BTreeMap::new(),
-            delivered_high: BTreeMap::new(),
+            queues: Vec::new(),
+            delivered_high: Vec::new(),
             crash_cursor: 0,
             acct: PlaneAccounting::default(),
             scenario,
@@ -706,7 +713,13 @@ impl FaultyPlane {
     }
 
     fn enqueue(&mut self, link: usize, dir: Direction, due: u64, msg: Message) {
-        let q = self.queues.entry((link, dir)).or_default();
+        let s = slot(link, dir);
+        if s >= self.queues.len() {
+            // lint:allow(hot-path-alloc) first send on a link grows the queue table once; steady state reuses it
+            self.queues.resize_with(s + 1, VecDeque::new);
+            self.delivered_high.resize(s + 1, 0);
+        }
+        let q = &mut self.queues[s];
         if q.len() >= self.scenario.queue_bound {
             self.acct.overflow_drops += 1;
             self.acct.dropped += 1;
@@ -714,7 +727,13 @@ impl FaultyPlane {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        q.insert((due, seq), msg);
+        let key = (due, seq);
+        if q.back().is_none_or(|&(d, sq, _)| (d, sq) <= key) {
+            q.push_back((due, seq, msg));
+        } else {
+            let at = q.partition_point(|&(d, sq, _)| (d, sq) < key);
+            q.insert(at, (due, seq, msg));
+        }
     }
 }
 
@@ -757,17 +776,19 @@ impl MessagePlane for FaultyPlane {
 
     fn deliver_into(&mut self, link: usize, dir: Direction, out: &mut DeliveryBatch) {
         out.clear();
-        let Some(q) = self.queues.get_mut(&(link, dir)) else {
+        let s = slot(link, dir);
+        let Some(q) = self.queues.get_mut(s) else {
             return;
         };
-        // Everything due at or before `now` is deliverable. Due entries
-        // are popped off the front in place: the still-queued tail keeps
-        // its nodes, where the previous split_off + replace rebuilt the
-        // map and reallocated every surviving entry on every call. The
-        // popped messages land in the caller's recycled batch.
-        let high = self.delivered_high.entry((link, dir)).or_insert(0);
-        while q.first_key_value().is_some_and(|(&(due, _), _)| due <= self.now) {
-            let ((_, seq), msg) = q.pop_first().expect("peeked entry is present");
+        // Everything due at or before `now` is deliverable: the sorted
+        // queue's front prefix, popped in place into the caller's
+        // recycled batch.
+        let high = &mut self.delivered_high[s];
+        while let Some(&(due, seq, msg)) = q.front() {
+            if due > self.now {
+                break;
+            }
+            q.pop_front();
             if seq < *high {
                 self.acct.reordered += 1;
             }
@@ -782,13 +803,13 @@ impl MessagePlane for FaultyPlane {
 
     fn queued(&self, link: usize, dir: Direction) -> Vec<Message> {
         self.queues
-            .get(&(link, dir))
-            .map(|q| q.values().copied().collect())
+            .get(slot(link, dir))
+            .map(|q| q.iter().map(|&(_, _, msg)| msg).collect())
             .unwrap_or_default()
     }
 
     fn queued_len(&self, link: usize, dir: Direction) -> usize {
-        self.queues.get(&(link, dir)).map_or(0, BTreeMap::len)
+        self.queues.get(slot(link, dir)).map_or(0, VecDeque::len)
     }
 
     fn rpc(&mut self, link: usize) -> RpcFate {
@@ -809,7 +830,7 @@ impl MessagePlane for FaultyPlane {
 
     fn purge_link(&mut self, link: usize) {
         for dir in [Direction::Down, Direction::Up] {
-            if let Some(q) = self.queues.get_mut(&(link, dir)) {
+            if let Some(q) = self.queues.get_mut(slot(link, dir)) {
                 self.acct.dropped += q.len() as u64;
                 q.clear();
             }
@@ -817,11 +838,11 @@ impl MessagePlane for FaultyPlane {
     }
 
     fn in_flight(&self) -> usize {
-        self.queues.values().map(|q| q.len()).sum()
+        self.queues.iter().map(VecDeque::len).sum()
     }
 
     fn lossy(&self) -> bool {
-        self.scenario.lossy()
+        self.lossy
     }
 
     fn accounting(&self) -> PlaneAccounting {

@@ -23,8 +23,8 @@
 //! each probe of a lower level is a demand-read RPC on that boundary.
 //! Under the default [`ReliablePlane`] everything is delivered in order
 //! within the access that produced it, which reproduces the historical
-//! in-line behaviour bit for bit (`tests/plane_differential.rs`). Under a
-//! lossy [`crate::FaultyPlane`] demotes can arrive late, twice or never;
+//! in-line behaviour bit for bit (`crates/core/tests/protocol_comparison.rs`).
+//! Under a lossy [`crate::FaultyPlane`] demotes can arrive late, twice or never;
 //! the receiver tolerates redundant demotes naturally (re-insertion is a
 //! refresh), drops late demotes that would break exclusivity, and
 //! [`UniLru::reconcile`] repairs any residual duplicate residency.

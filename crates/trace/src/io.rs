@@ -86,10 +86,19 @@ pub fn read_text<R: Read>(reader: R) -> Result<Trace, ParseTraceError> {
             })
         };
         let record = match second {
-            Some(block) => TraceRecord::new(
-                ClientId::new(parse(first)? as u32),
-                BlockId::new(parse(block)?),
-            ),
+            Some(block) => {
+                // `Trace` counts clients as `max id + 1` in a `u32`, so
+                // the largest usable id is one below `u32::MAX`.
+                let raw = parse(first)?;
+                let client = u32::try_from(raw)
+                    .ok()
+                    .filter(|&c| c < u32::MAX)
+                    .ok_or_else(|| ParseTraceError {
+                        line: i + 1,
+                        message: format!("client id {raw} exceeds {}", u32::MAX - 1),
+                    })?;
+                TraceRecord::new(ClientId::new(client), BlockId::new(parse(block)?))
+            }
             None => TraceRecord::single(BlockId::new(parse(first)?)),
         };
         trace.push(record);
@@ -180,6 +189,18 @@ mod tests {
         let err = read_text("0 1\nx 2\n".as_bytes()).unwrap_err();
         assert_eq!(err.line(), 2);
         assert!(err.to_string().contains("invalid integer"));
+    }
+
+    #[test]
+    fn client_id_above_u32_is_rejected_not_truncated() {
+        // 2^32 would wrap to client 0 under a plain `as u32` cast.
+        let err = read_text("0 1\n4294967296 2\n".as_bytes()).unwrap_err();
+        assert_eq!(err.line(), 2);
+        assert!(err.to_string().contains("client id 4294967296"), "{err}");
+        let err = read_text("4294967295 2\n".as_bytes()).unwrap_err();
+        assert_eq!(err.line(), 1);
+        let t = read_text("4294967294 2\n".as_bytes()).unwrap();
+        assert_eq!(t.num_clients(), u32::MAX);
     }
 
     #[test]

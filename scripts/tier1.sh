@@ -100,4 +100,17 @@ cargo run -q --release -p ulc-bench --features obs --bin obs-tool -- \
 cargo run -q --release -p ulc-bench --features obs --bin obs-tool -- \
   verify --in=results/FLIGHT_obs.json
 
+# Pinned full-size digests: every cell of the four benchmark workloads,
+# run at seed 0 and the default size, must reproduce the SimStats digest
+# pinned in perfbench/digests.txt. This is the only oracle that pins the
+# mild-FaultyPlane SimStats at full size; `--seconds 1` keeps the timed
+# rounds short, while the check round and digest comparison always run.
+for workload in single-3level multi-private multi-shared multi-faulty; do
+  result="$(python3 perfbench/run.py --workload "$workload" --seed 0 --seconds 1 --trace 0 | tail -n 1)"
+  if ! grep -qF '"failed": 0' <<<"$result"; then
+    echo "tier1: perfbench $workload does not reproduce its pinned digests: $result" >&2
+    exit 1
+  fi
+done
+
 echo "tier1: ok"
