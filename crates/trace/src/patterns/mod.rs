@@ -6,6 +6,7 @@
 //! those terms. Each family lives in its own module here; the
 //! [`crate::synthetic`] module composes them into the paper's named traces.
 
+mod depth_stack;
 mod file;
 mod looping;
 mod mixed;

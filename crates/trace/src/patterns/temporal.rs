@@ -8,12 +8,12 @@
 //! step, samples a *stack depth* from a distribution biased toward small
 //! depths, references the block found there and moves it to the top. The
 //! resulting stream has exactly the recency distribution that makes LRU
-//! perform well.
+//! perform well. Each step is O(log n) on the shared `DepthStack`.
 
+use super::depth_stack::DepthStack;
 use super::Pattern;
-use crate::{seeded_rng, BlockId, TruncatedGeometric};
+use crate::{seeded_rng, BlockId};
 use rand::rngs::StdRng;
-use ulc_cache::RecencyList;
 
 /// LRU-friendly stream via stack-depth sampling.
 ///
@@ -27,12 +27,9 @@ use ulc_cache::RecencyList;
 /// ```
 #[derive(Clone, Debug)]
 pub struct TemporalPattern {
-    /// Blocks ordered by recency; rank 0 is most recent. The indexed
-    /// list makes each step O(log n) where the former `Vec` stack paid
-    /// O(n) to find and splice the sampled depth.
-    stack: RecencyList,
+    /// Blocks `0..n` by recency, with the depth sampler.
+    stack: DepthStack,
     n: u64,
-    depth_dist: TruncatedGeometric,
     base: u64,
     rng: StdRng,
 }
@@ -46,15 +43,9 @@ impl TemporalPattern {
     /// Panics if `n` is zero or `q` is outside `(0, 1)`.
     pub fn new(n: u64, q: f64, seed: u64) -> Self {
         assert!(n > 0, "block universe must be non-empty");
-        // Seed the stack in id order: block 0 on top, as before.
-        let mut stack = RecencyList::new(n as usize);
-        for block in (0..n as usize).rev() {
-            stack.move_to_front(block);
-        }
         TemporalPattern {
-            stack,
+            stack: DepthStack::new(n as usize, q),
             n,
-            depth_dist: TruncatedGeometric::new(n as usize, q),
             base: 0,
             rng: seeded_rng(seed),
         }
@@ -75,10 +66,7 @@ impl TemporalPattern {
 
 impl Pattern for TemporalPattern {
     fn next_block(&mut self) -> BlockId {
-        let depth = self.depth_dist.sample(&mut self.rng);
-        let block = self.stack.select(depth).expect("depth within stack");
-        self.stack.move_to_front(block);
-        BlockId::new(self.base + block as u64)
+        BlockId::new(self.base + self.stack.next(&mut self.rng) as u64)
     }
 }
 

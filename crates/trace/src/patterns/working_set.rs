@@ -5,14 +5,25 @@
 //! (§4.2). The defining property is a modest, temporally clustered working
 //! set that *drifts* across a much larger universe as the user switches
 //! activities, plus occasional sequential bursts (builds, file copies).
+//!
+//! In-window references come from a stack-depth sampler over the window's
+//! offsets, the same step as [`super::TemporalPattern`]: draw a depth
+//! biased toward the top, reference the offset found there and move it to
+//! the front. On the shared `DepthStack` each step is O(log window);
+//! drift and bursts are O(1).
 
+use super::depth_stack::DepthStack;
 use super::Pattern;
-use crate::{seeded_rng, BlockId, TruncatedGeometric};
+use crate::{seeded_rng, BlockId};
 use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Temporally clustered references inside a window that slowly slides over
 /// a large block universe, with occasional sequential bursts.
+///
+/// Each reference costs O(log window): the in-window recency stack is an
+/// indexed list, so the sampled depth is found and moved to the front
+/// without shifting the rest of the window.
 ///
 /// # Examples
 ///
@@ -27,9 +38,9 @@ pub struct WorkingSetDriftPattern {
     universe: u64,
     window: u64,
     window_start: u64,
-    /// Recency stack *within* the window (block offsets relative to start).
-    stack: Vec<u64>,
-    depth_dist: TruncatedGeometric,
+    /// Recency stack *within* the window (block offsets relative to start),
+    /// with the depth sampler.
+    stack: DepthStack,
     /// Remaining length of an in-progress sequential burst, and its cursor.
     burst: Option<(u64, u64)>,
     /// Probability of starting a burst at any reference.
@@ -52,8 +63,7 @@ impl WorkingSetDriftPattern {
             universe,
             window,
             window_start: 0,
-            stack: (0..window).collect(),
-            depth_dist: TruncatedGeometric::new(window as usize, 0.97),
+            stack: DepthStack::new(window as usize, 0.97),
             burst: None,
             burst_prob: 0.002,
             drift_prob: 0.02,
@@ -84,7 +94,7 @@ impl WorkingSetDriftPattern {
     /// Panics if `q` is outside `(0, 1)`.
     #[must_use]
     pub fn with_depth_decay(mut self, q: f64) -> Self {
-        self.depth_dist = TruncatedGeometric::new(self.window as usize, q);
+        self.stack.set_decay(q);
         self
     }
 
@@ -116,9 +126,7 @@ impl Pattern for WorkingSetDriftPattern {
             self.window_start = (self.window_start + step) % self.universe;
         }
         // Clustered access within the window.
-        let depth = self.depth_dist.sample(&mut self.rng);
-        let offset = self.stack.remove(depth);
-        self.stack.insert(0, offset);
+        let offset = self.stack.next(&mut self.rng) as u64;
         BlockId::new((self.window_start + offset) % self.universe)
     }
 }

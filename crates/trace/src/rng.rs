@@ -112,10 +112,21 @@ impl Zipf {
 ///
 /// The sample is produced by inverse transform on the truncated geometric
 /// distribution, O(1) per draw.
+///
+/// # Examples
+///
+/// ```
+/// let g = ulc_trace::TruncatedGeometric::new(100, 0.9);
+/// let mut rng = ulc_trace::seeded_rng(1);
+/// assert!(g.sample(&mut rng) < 100);
+/// ```
 #[derive(Clone, Copy, Debug)]
 pub struct TruncatedGeometric {
     n: usize,
-    q: f64,
+    /// `1 - q^n`: the CDF's normaliser.
+    scale: f64,
+    /// `ln q`.
+    ln_q: f64,
 }
 
 impl TruncatedGeometric {
@@ -127,15 +138,24 @@ impl TruncatedGeometric {
     pub fn new(n: usize, q: f64) -> Self {
         assert!(n > 0, "support must be non-empty");
         assert!(q > 0.0 && q < 1.0, "decay must lie in (0, 1)");
-        TruncatedGeometric { n, q }
+        // `powi` for every `n` it can take, so draws stay bit-identical;
+        // beyond `i32::MAX` an `as i32` cast would wrap negative.
+        let q_pow_n = match i32::try_from(n) {
+            Ok(exp) => q.powi(exp),
+            Err(_) => q.powf(n as f64),
+        };
+        TruncatedGeometric {
+            n,
+            scale: 1.0 - q_pow_n,
+            ln_q: q.ln(),
+        }
     }
 
     /// Draws one depth in `0..n`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         // CDF(d) = (1 - q^(d+1)) / (1 - q^n); invert for uniform u.
         let u: f64 = rng.gen();
-        let scale = 1.0 - self.q.powi(self.n as i32);
-        let d = ((1.0 - u * scale).ln() / self.q.ln()).floor() as usize;
+        let d = ((1.0 - u * self.scale).ln() / self.ln_q).floor() as usize;
         d.min(self.n - 1)
     }
 }
@@ -218,6 +238,21 @@ mod tests {
         // P(depth < 10) = (1 - 0.9^10)/(1 - 0.9^100) ~ 0.65.
         let frac = small as f64 / n as f64;
         assert!((0.55..0.75).contains(&frac), "frac = {frac}");
+    }
+
+    #[test]
+    fn geometric_support_beyond_i32_keeps_its_shape() {
+        // Cast `as i32`, this `n` wraps negative: `q^n` turns infinite
+        // and every draw collapses to depth 0.
+        let n = i32::MAX as usize + 2;
+        let g = TruncatedGeometric::new(n, 0.5);
+        assert!(g.scale.is_finite() && g.scale > 0.0, "scale = {}", g.scale);
+        let mut rng = seeded_rng(13);
+        let draws = 10_000;
+        let deep = (0..draws).filter(|_| g.sample(&mut rng) >= 1).count();
+        // P(depth >= 1) = q = 0.5.
+        let frac = deep as f64 / draws as f64;
+        assert!((0.45..0.55).contains(&frac), "frac = {frac}");
     }
 
     #[test]
