@@ -5,6 +5,8 @@
 //! `ulc_bench::throughput`, driven by `sweep --bench-json=`. This bench
 //! isolates the structure the rework targets: the uniLRUstack's
 //! block → node table, which every access touches at least once.
+//! `loop-20k` and `zipf` take the direct tier; `httpd-multi` (file-set
+//! ids, `(file << 32) | offset`) takes the file arena.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ulc_core::UniLruStack;
@@ -17,6 +19,7 @@ fn bench_stack_table_modes(c: &mut Criterion) {
     for (name, trace) in [
         ("loop-20k", LoopingPattern::new(20_000).generate(refs)),
         ("zipf", synthetic::zipf_small(refs)),
+        ("httpd-multi", synthetic::httpd_multi(refs)),
     ] {
         let blocks: Vec<BlockId> = trace.iter().map(|r| r.block).collect();
         group.throughput(Throughput::Elements(refs as u64));

@@ -248,7 +248,7 @@ mod tests {
 
     #[test]
     fn sparse_file_set_ids_classify_too() {
-        let hi = (7u64 << 32) | 3; // above DIRECT_LIMIT, sparse tier
+        let hi = (7u64 << 32) | 3; // a file-set id, above DIRECT_LIMIT
         let t = Trace::from_records(vec![rec(0, hi), rec(1, hi), rec(1, 5)]);
         let plan = ReplayPlan::build(&t);
         assert!(!plan.is_exclusive(0));

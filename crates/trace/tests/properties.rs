@@ -7,7 +7,9 @@ use ulc_trace::patterns::{
     FileSetPattern, LoopingPattern, Pattern, SequentialPattern, TemporalPattern, UniformPattern,
     WorkingSetDriftPattern, ZipfPattern,
 };
-use ulc_trace::{BlockId, BlockInterner, BlockMap, TableMode, Trace, TraceStats, Zipf};
+use ulc_trace::{
+    BlockId, BlockInterner, BlockMap, TableMode, Trace, TraceStats, Zipf, DIRECT_LIMIT, FILE_LIMIT,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -174,21 +176,34 @@ proptest! {
     }
 
     /// Dense and hashed `BlockMap`s stay observationally equal under an
-    /// arbitrary insert/remove/clear script.
+    /// arbitrary insert/remove/clear script over ids from every dense
+    /// tier and its boundaries, including runs of rising offsets in one
+    /// file (which relocate its arena region).
     #[test]
     fn block_map_modes_agree_under_arbitrary_scripts(
-        ops in proptest::collection::vec((0u8..4, 0u64..60), 0..300),
+        ops in proptest::collection::vec((0u8..5, block_map_id(), 1u32..40), 0..300),
     ) {
         let mut dense: BlockMap<u64> = BlockMap::new(TableMode::Dense);
         let mut hashed: BlockMap<u64> = BlockMap::new(TableMode::Hashed);
-        for (i, &(op, raw)) in ops.iter().enumerate() {
+        for (i, &(op, raw, run)) in ops.iter().enumerate() {
             let b = BlockId::new(raw);
             match op {
-                0 | 1 => {
+                0 => {
                     prop_assert_eq!(dense.insert(b, i as u64), hashed.insert(b, i as u64));
+                }
+                1 => {
+                    // A run of rising offsets in `raw`'s file.
+                    for k in 0..u64::from(run) {
+                        let b = BlockId::new(raw.wrapping_add(k));
+                        prop_assert_eq!(dense.insert(b, k), hashed.insert(b, k));
+                    }
                 }
                 2 => {
                     prop_assert_eq!(dense.remove(b), hashed.remove(b));
+                }
+                3 if run == 1 => {
+                    dense.clear();
+                    hashed.clear();
                 }
                 _ => {
                     prop_assert_eq!(dense.get(b), hashed.get(b));
@@ -201,6 +216,42 @@ proptest! {
         let mut h: Vec<(BlockId, u64)> = hashed.iter().map(|(b, &v)| (b, v)).collect();
         d.sort_unstable();
         h.sort_unstable();
-        prop_assert_eq!(d, h);
+        prop_assert_eq!(&d, &h);
+        // Re-inserting the same entries into cleared maps must give the
+        // same contents again.
+        dense.clear();
+        hashed.clear();
+        prop_assert!(dense.is_empty());
+        for &(b, v) in d.iter().rev() {
+            prop_assert_eq!(dense.insert(b, v), hashed.insert(b, v));
+        }
+        let mut d2: Vec<(BlockId, u64)> = dense.iter().map(|(b, &v)| (b, v)).collect();
+        d2.sort_unstable();
+        prop_assert_eq!(d2, h);
     }
+}
+
+/// Raw block ids spread over every `BlockMap` tier and its boundaries:
+/// small direct ids, the last direct id and the first id past it, file
+/// indices up to and past `FILE_LIMIT`, offsets up to and past
+/// `DIRECT_LIMIT`, and `u64::MAX`.
+fn block_map_id() -> impl Strategy<Value = u64> {
+    const EDGES: [u64; 3] = [DIRECT_LIMIT - 1, DIRECT_LIMIT, u64::MAX];
+    const FILES: [u64; 5] = [0, 1, 2, FILE_LIMIT - 1, FILE_LIMIT];
+    const FAR_OFFSETS: [u64; 2] = [DIRECT_LIMIT - 1, DIRECT_LIMIT];
+    let near = || (0usize..FILES.len(), 0u64..24).prop_map(|(f, o)| (FILES[f] << 32) | o);
+    prop_oneof![
+        0u64..60,
+        (0usize..EDGES.len()).prop_map(|i| EDGES[i]),
+        near(),
+        near(),
+        // Rare (about one draw per script): a far offset inside the file
+        // tier opens a 2 M-slot region.
+        (0usize..FILES.len() * 40, 0usize..FAR_OFFSETS.len()).prop_map(|(f, o)| {
+            match FILES.get(f) {
+                Some(&file) => (file << 32) | FAR_OFFSETS[o],
+                None => f as u64,
+            }
+        }),
+    ]
 }
